@@ -24,10 +24,11 @@ test:
 
 # The race detector focused where the lock-free interleavings live: the
 # reclamation core, the sharded block pools, the MPMC request rings, the
-# generic OA kit and the aux-word protocol of the TTL/LRU cache.
+# generic OA kit, the aux-word protocol of the TTL/LRU cache, and the
+# server (its outbox hands response buffers across goroutines).
 # -short keeps it inside a merge-gate budget; race-full sweeps everything.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/...
+	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/... ./internal/server/...
 
 race-full:
 	$(GO) test -race ./...
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz FuzzOASkipListVsModel -fuzztime 30s ./internal/skiplist
 	$(GO) test -fuzz FuzzMapVsModel -fuzztime 30s ./internal/kvmap
 	$(GO) test -fuzz FuzzOAQueueVsModel -fuzztime 30s ./internal/queue
+	$(GO) test -fuzz FuzzFrameReader -fuzztime 30s ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -160,9 +160,14 @@ type Manager[T any] struct {
 	tracer   *trace.Recorder  // per-thread protocol event rings
 }
 
-// NewManager builds a manager. reset must zero every field of a node using
-// plain or atomic stores; it runs while the slot is owned exclusively by the
-// allocating thread.
+// NewManager builds a manager. reset must zero, using plain or atomic
+// stores, every field a concurrent reader can follow before the owner's
+// first publishing CAS (a link word a stale traversal could chase); it
+// runs while the slot is owned exclusively by the allocating thread.
+// Fields the owner always overwrites before that CAS may be left as
+// they are: a stale reader validates what it read with a warning Check
+// before acting on it, and it could observe arbitrary values in them
+// anyway, because the slot's previous occupant wrote them.
 func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 	cfg.fill()
 	m := &Manager[T]{

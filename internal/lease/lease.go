@@ -12,8 +12,8 @@
 // returns it on exit, so an arbitrary goroutine population multiplexes
 // onto the fixed registry.
 //
-// Registry is that free list. Acquire and Release are lock-free (a
-// bounded scan of per-slot CAS words), safe for any number of concurrent
+// Registry is that free list. Acquire and Release are lock-free (scans
+// of per-slot CAS words), safe for any number of concurrent
 // goroutines, and detect the two misuse modes that corrupt SMR state:
 // releasing a slot that is not leased (panic — the equivalent of a
 // double sync.Mutex.Unlock) and acquiring from a closed registry
@@ -23,6 +23,7 @@ package lease
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -113,27 +114,38 @@ func (r *Registry) Closed() bool { return r.closed.Load() }
 func (r *Registry) Close() { r.closed.Store(true) }
 
 // Acquire leases a free slot id. It fails with ErrClosed after Close and
-// with ErrNoFreeSessions when a full scan finds every slot leased.
+// with ErrNoFreeSessions when every slot is leased. One scan can miss a
+// free slot — it lost a CAS to another acquirer, or a release landed
+// behind its cursor — so a scan that comes up empty while the leased
+// count is below capacity scans again rather than report a spurious
+// exhaustion. Each rescan follows another goroutine's progress (a grant
+// or a release), so the loop is lock-free.
 func (r *Registry) Acquire() (int, error) {
-	if r.closed.Load() {
-		return 0, ErrClosed
-	}
 	n := uint32(len(r.slots))
-	start := r.hint.Add(1)
-	for i := uint32(0); i < n; i++ {
-		id := (start + i) % n
-		w := &r.slots[id].w
-		old := w.Load()
-		if old&slotLeased != 0 {
-			continue
+	for {
+		if r.closed.Load() {
+			return 0, ErrClosed
 		}
-		if w.CompareAndSwap(old, (old|slotLeased)+2) { // +2 bumps the generation
-			r.leased.Add(1)
-			r.grants.Add(1)
-			return int(id), nil
+		start := r.hint.Add(1)
+		for i := uint32(0); i < n; i++ {
+			id := (start + i) % n
+			w := &r.slots[id].w
+			old := w.Load()
+			if old&slotLeased != 0 {
+				continue
+			}
+			if w.CompareAndSwap(old, (old|slotLeased)+2) { // +2 bumps the generation
+				r.leased.Add(1)
+				r.grants.Add(1)
+				return int(id), nil
+			}
+			// Lost the race for this slot; keep scanning.
 		}
-		// Lost the race for this slot; keep scanning. A loser never
-		// retries the same slot, so one pass bounds the loop.
+		if r.leased.Load() >= int64(n) {
+			break
+		}
+		// A winner may sit between its CAS and its count update; let it run.
+		runtime.Gosched()
 	}
 	r.exhausted.Add(1)
 	return 0, ErrNoFreeSessions

@@ -132,3 +132,38 @@ func TestChurnMoreGoroutinesThanSlots(t *testing.T) {
 		t.Fatalf("grants = %d, want %d", got, granted.Load())
 	}
 }
+
+// TestAcquireNeverSpuriouslyExhausted pins the rescan fix: with two
+// goroutines churning on a two-slot registry, each holds at most one
+// slot, so a free slot exists at every Acquire. A single scan could
+// still miss it (a lost CAS, or a release behind the cursor) and report
+// ErrNoFreeSessions; Acquire must rescan instead.
+func TestAcquireNeverSpuriouslyExhausted(t *testing.T) {
+	const (
+		workers = 2
+		rounds  = 20000
+	)
+	r := NewRegistry(workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id, err := r.Acquire()
+				if err != nil {
+					t.Errorf("round %d: Acquire = %v with a slot free", i, err)
+					return
+				}
+				r.Release(id)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := r.Exhausted(); n != 0 {
+		t.Fatalf("exhausted = %d, want 0", n)
+	}
+	if r.Leased() != 0 {
+		t.Fatalf("leaked %d leases", r.Leased())
+	}
+}

@@ -48,11 +48,14 @@ type Node struct {
 	Next atomic.Uint64
 }
 
-// ResetNode zeroes a node (the allocation memset hook).
+// ResetNode is the allocation hook: it zeroes only Next, the one field
+// a concurrent reader can follow before the owner publishes the node.
+// The payload words need no memset: TryEnqueue overwrites all of them
+// before the link CAS that publishes the node, and a stale reader (a
+// Dequeue still holding an old pointer to the recycled slot) could see
+// any payload value anyway — it reads the words optimistically and
+// discards them when its warning Check fires.
 func ResetNode(n *Node) {
-	for i := range n.Vals {
-		n.Vals[i].Store(0)
-	}
 	n.Next.Store(0)
 }
 

@@ -74,38 +74,40 @@ func unpackStageNs(w uint64) (readNs, routeNs int64) {
 	return int64(w >> 32), int64(w & 0xFFFFFFFF)
 }
 
-// runOp executes one data op on sess and encodes the response. Shared by
-// the inline path (reader goroutine) and the batched path (executor).
-func runOp(sess *kvmap.Session, op uint8, id, key, a1, a2 uint64) []byte {
+// runOp executes one data op on sess and appends the encoded response
+// to dst (a caller-owned scratch buffer; the outbox copies it out).
+// Shared by the inline path (reader goroutine) and the batched path
+// (executor).
+func runOp(dst []byte, sess *kvmap.Session, op uint8, id, key, a1, a2 uint64) []byte {
 	switch op {
 	case OpGet:
 		if v, ok := sess.Get(key); ok {
-			return AppendFrame(nil, id, StOK, v)
+			return AppendFrame(dst, id, StOK, v)
 		}
-		return AppendFrame(nil, id, StNotFound)
+		return AppendFrame(dst, id, StNotFound)
 	case OpPut:
 		prev, had := sess.Put(key, a1)
 		if had {
-			return AppendFrame(nil, id, StOK, prev)
+			return AppendFrame(dst, id, StOK, prev)
 		}
-		return AppendFrame(nil, id, StNotFound, 0)
+		return AppendFrame(dst, id, StNotFound, 0)
 	case OpDel:
 		if v, ok := sess.Remove(key); ok {
-			return AppendFrame(nil, id, StOK, v)
+			return AppendFrame(dst, id, StOK, v)
 		}
-		return AppendFrame(nil, id, StNotFound)
+		return AppendFrame(dst, id, StNotFound)
 	case OpCAS:
 		swapped, found := sess.CompareAndSwap(key, a1, a2)
 		switch {
 		case swapped:
-			return AppendFrame(nil, id, StOK)
+			return AppendFrame(dst, id, StOK)
 		case found:
-			return AppendFrame(nil, id, StCASMismatch)
+			return AppendFrame(dst, id, StCASMismatch)
 		default:
-			return AppendFrame(nil, id, StNotFound)
+			return AppendFrame(dst, id, StNotFound)
 		}
 	}
-	return AppendFrame(nil, id, StBadRequest)
+	return AppendFrame(dst, id, StBadRequest)
 }
 
 // executor is one shard's single consumer: it owns the shard's only
@@ -127,8 +129,9 @@ type executor struct {
 	batches  atomic.Uint64
 	ops      atomic.Uint64
 	maxBatch atomic.Uint64
-	spanSeq  uint64 // sampled per-request trace emission
-	batchSeq uint64 // sampled exec_batch emission
+	spanSeq  uint64   // sampled per-request trace emission
+	batchSeq uint64   // sampled exec_batch emission
+	scratch  [32]byte // response encode buffer, copied out by the outbox
 }
 
 func newExecutor(s *Server, shard int) (*executor, error) {
@@ -236,7 +239,7 @@ func (e *executor) process(p *mpmc.Payload) {
 	if e.ts != nil {
 		r0, d0 = e.ts.Load(obs.Restarts), e.ts.Load(obs.DrainPasses)
 	}
-	resp := e.exec(op, id, p[pwKey], p[pwArg1], p[pwArg2])
+	resp := e.exec(e.scratch[:0], op, id, p[pwKey], p[pwArg1], p[pwArg2])
 	execNs := trace.Now() - start
 	readNs, routeNs := unpackStageNs(p[pwStages])
 	status := resp[respStatusOffset]
@@ -295,9 +298,9 @@ func (e *executor) process(p *mpmc.Payload) {
 // unwind — is cycled for a fresh lease, exactly what a disconnect does
 // in inline mode. The executor itself survives; only the one request
 // pays.
-func (e *executor) exec(op uint8, id, key, a1, a2 uint64) (resp []byte) {
+func (e *executor) exec(dst []byte, op uint8, id, key, a1, a2 uint64) (resp []byte) {
 	if e.sess == nil {
-		return AppendFrame(nil, id, StClosed)
+		return AppendFrame(dst, id, StClosed)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -307,11 +310,11 @@ func (e *executor) exec(op uint8, id, key, a1, a2 uint64) (resp []byte) {
 			}
 			e.s.capTotal.Add(1)
 			e.s.logf("shard %d executor: capacity exhausted: %v", e.shard, err)
-			resp = AppendFrame(nil, id, StCapacity)
+			resp = AppendFrame(dst, id, StCapacity)
 			e.refreshSession()
 		}
 	}()
-	return runOp(e.sess, op, id, key, a1, a2)
+	return runOp(dst, e.sess, op, id, key, a1, a2)
 }
 
 func (e *executor) refreshSession() {
@@ -370,7 +373,7 @@ func (c *conn) readLoopBatched() {
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				s.badTotal.Add(1)
-				c.reply(AppendFrame(nil, 0, StFrameTooBig))
+				c.reply(AppendFrame(c.scratch[:0], 0, StFrameTooBig))
 			}
 			return
 		}
@@ -379,13 +382,13 @@ func (c *conn) readLoopBatched() {
 		nargs, known := argWords(f.Code)
 		if !known || f.Code == OpGoAway || len(f.Body) != 8*nargs {
 			s.badTotal.Add(1)
-			c.reply(AppendFrame(nil, f.ID, StBadRequest))
+			c.reply(AppendFrame(c.scratch[:0], f.ID, StBadRequest))
 			continue
 		}
 		c.stripe.reqsTotal[f.Code].Add(1)
 		switch f.Code {
 		case OpPing:
-			c.reply(AppendFrame(nil, f.ID, StOK))
+			c.reply(AppendFrame(c.scratch[:0], f.ID, StOK))
 			continue
 		case OpStats:
 			c.reply(appendBytesFrame(nil, f.ID, StOK, s.statsBody()))
@@ -412,7 +415,7 @@ func (c *conn) readLoopBatched() {
 			c.inflight.Add(-1)
 			s.busyTotal.Add(1)
 			s.ringFull.Add(1)
-			c.complete(seq, AppendFrame(nil, f.ID, StBusy))
+			c.complete(seq, AppendFrame(c.scratch[:0], f.ID, StBusy))
 			continue
 		}
 		s.stripes[shard].ops.Add(1)

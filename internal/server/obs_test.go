@@ -322,8 +322,8 @@ func TestSpanSampling(t *testing.T) {
 // The instrumentation the span threads into the request path — stage
 // marks, the histogram record, the slow-log record, and the (sampled)
 // trace emission — must add zero heap allocations, sampled or not.
-// (The response buffer each request allocates is the pre-existing
-// encode path, exercised by TestServerEncodePathsDoNotAllocate.)
+// (The whole request path, encode and outbox included, is proved
+// allocation-free by TestServerWirePathsDoNotAllocate.)
 func TestInstrumentationDoesNotAllocate(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)

@@ -13,15 +13,38 @@
 // backpressure, now explicit), which also guarantees complete never
 // blocks — every live sequence has a reserved slot — so executors can
 // never be stalled by one slow connection.
+//
+// Slots own their bytes. complete copies the encoded response into the
+// slot's retained backing slice (pre-sized from one per-connection
+// arena), so producers encode into their own scratch buffers and a
+// steady-state response allocates nothing. take copies the released run
+// into the writer's buffer while it holds the lock; a slot is free for
+// its next sequence the moment next advances past it, and the writer
+// never reads memory a producer may be refilling.
 package server
 
 import "sync"
 
+// slotSize is each outbox slot's pre-sized capacity: every binary
+// data-op response (at most 21 bytes) and the common RESP replies fit.
+// A larger reply (STATS, INFO) grows its slot; take drops a grown
+// backing slice past slotKeep so one big reply does not pin memory for
+// the connection's lifetime.
+const (
+	slotSize = 32
+	slotKeep = 256
+)
+
+type outboxSlot struct {
+	b     []byte
+	ready bool
+}
+
 type outbox struct {
 	mu     sync.Mutex
-	filled sync.Cond // writer waits: head-of-line completion, goaway, close
-	space  sync.Cond // reader waits: window space
-	buf    [][]byte  // frames indexed by seq&mask; nil = not yet completed
+	filled sync.Cond    // writer waits: head-of-line completion, goaway, close
+	space  sync.Cond    // reader waits: window space
+	slots  []outboxSlot // responses indexed by seq&mask
 	mask   uint64
 	limit  uint64 // window: max live sequences (seq - next)
 	seq    uint64 // next sequence the reader assigns
@@ -35,7 +58,11 @@ func (ob *outbox) init(window int) {
 	for n < window {
 		n <<= 1
 	}
-	ob.buf = make([][]byte, n)
+	ob.slots = make([]outboxSlot, n)
+	backing := make([]byte, n*slotSize)
+	for i := range ob.slots {
+		ob.slots[i].b = backing[i*slotSize : i*slotSize : (i+1)*slotSize]
+	}
 	ob.mask = uint64(n - 1)
 	ob.limit = uint64(window)
 	ob.filled.L = &ob.mu
@@ -56,22 +83,26 @@ func (ob *outbox) alloc() uint64 {
 	return s
 }
 
-// complete fills sequence seq's slot with its encoded response. Never
-// blocks: alloc reserved the slot. Safe from any goroutine.
+// complete copies sequence seq's encoded response into its slot. Never
+// blocks: alloc reserved the slot. Safe from any goroutine; the caller
+// keeps ownership of frame and may reuse it as soon as complete returns.
 func (ob *outbox) complete(seq uint64, frame []byte) {
 	ob.mu.Lock()
-	ob.buf[seq&ob.mask] = frame
+	sl := &ob.slots[seq&ob.mask]
+	sl.b = append(sl.b[:0], frame...)
+	sl.ready = true
 	if seq == ob.next {
 		ob.filled.Signal()
 	}
 	ob.mu.Unlock()
 }
 
-// take blocks until something is releasable and returns it: a pending
-// GOAWAY push (alone, so the writer can flush it promptly), else the
-// contiguous run of completed responses, else closed — reported only
-// once nothing else is pending, so no completion is ever lost.
-func (ob *outbox) take(dst [][]byte) (frames [][]byte, goaway, closed bool) {
+// take blocks until something is releasable and appends it to dst: a
+// pending GOAWAY push (alone, so the writer can flush it promptly), else
+// the contiguous run of completed responses, else closed — reported
+// only once nothing else is pending, so no completion is ever lost. dst
+// belongs to the writer; the released slots are free again on return.
+func (ob *outbox) take(dst []byte) (out []byte, goaway, closed bool) {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
 	for {
@@ -79,10 +110,17 @@ func (ob *outbox) take(dst [][]byte) (frames [][]byte, goaway, closed bool) {
 			ob.goaway = false
 			return dst, true, false
 		}
-		if ob.buf[ob.next&ob.mask] != nil {
-			for ob.buf[ob.next&ob.mask] != nil {
-				dst = append(dst, ob.buf[ob.next&ob.mask])
-				ob.buf[ob.next&ob.mask] = nil
+		if ob.slots[ob.next&ob.mask].ready {
+			for {
+				sl := &ob.slots[ob.next&ob.mask]
+				if !sl.ready {
+					break
+				}
+				dst = append(dst, sl.b...)
+				sl.ready = false
+				if cap(sl.b) > slotKeep {
+					sl.b = nil
+				}
 				ob.next++
 			}
 			ob.space.Signal()
@@ -99,7 +137,7 @@ func (ob *outbox) take(dst [][]byte) (frames [][]byte, goaway, closed bool) {
 // flush-on-empty trigger.
 func (ob *outbox) empty() bool {
 	ob.mu.Lock()
-	e := ob.buf[ob.next&ob.mask] == nil && !ob.goaway
+	e := !ob.slots[ob.next&ob.mask].ready && !ob.goaway
 	ob.mu.Unlock()
 	return e
 }

@@ -308,21 +308,21 @@ func (c *conn) respReadLoop() {
 		if err != nil {
 			if errors.Is(err, ErrRESPProtocol) {
 				c.s.badTotal.Add(1)
-				c.reply(AppendRESPError(nil, "ERR protocol error: "+err.Error()))
+				c.reply(AppendRESPError(c.scratch[:0], "ERR protocol error: "+err.Error()))
 			}
 			return
 		}
 		c.sp.Mark(trace.StageRead)
 		c.stripe.reqsRead.Add(1)
 		if len(args) == 0 {
-			c.reply(AppendRESPError(nil, "ERR empty command"))
+			c.reply(AppendRESPError(c.scratch[:0], "ERR empty command"))
 			continue
 		}
 		// Dispatch routes inside respExecute (a variadic DEL touches
 		// several shards), so the per-request attribution travels on the
 		// conn: respSession fills it on the request's first shard touch.
 		c.reqOp, c.reqSess, c.reqTS, c.reqShrd = 0, nil, nil, 0
-		resp, fatal := c.respExecute(upper(args[0]), args[1:])
+		resp, fatal := c.respExecute(c.scratch[:0], upper(args[0]), args[1:])
 		c.sp.Mark(trace.StageExec)
 		status := respStatusOf(resp)
 		c.reply(resp)
@@ -421,15 +421,15 @@ func parseSeconds(b []byte) (int64, bool) {
 // (even after eviction relief) answers -OOM like the raw path, but
 // non-fatally — the cache already shed what it could, the connection
 // and the store remain healthy, and the client may retry.
-func (c *conn) respSetErr(err error) []byte {
+func (c *conn) respSetErr(b []byte, err error) []byte {
 	if errors.Is(err, lease.ErrCapacityExhausted) {
 		c.s.capTotal.Add(1)
-		return AppendRESPError(nil, "OOM node budget exhausted after eviction relief")
+		return AppendRESPError(b, "OOM node budget exhausted after eviction relief")
 	}
-	return AppendRESPError(nil, "ERR "+err.Error())
+	return AppendRESPError(b, "ERR "+err.Error())
 }
 
-func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) {
+func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err, ok := r.(error)
@@ -438,24 +438,25 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 			}
 			c.s.capTotal.Add(1)
 			c.s.logf("conn %d: capacity exhausted: %v", c.id, err)
-			resp, fatal = AppendRESPError(nil, "OOM node budget exhausted"), true
+			resp, fatal = AppendRESPError(b, "OOM node budget exhausted"), true
 		}
 	}()
+	var val [respMaxValue]byte // a GET hit's unpacked value, on the stack
 	switch {
 	case eq(cmd, "PING"):
 		c.countCmd(OpPing)
 		if len(args) == 1 {
-			return AppendRESPBulk(nil, args[0]), false
+			return AppendRESPBulk(b, args[0]), false
 		}
-		return AppendRESPSimple(nil, "PONG"), false
+		return AppendRESPSimple(b, "PONG"), false
 	case eq(cmd, "ECHO"):
 		if len(args) != 1 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
-		return AppendRESPBulk(nil, args[0]), false
+		return AppendRESPBulk(b, args[0]), false
 	case eq(cmd, "GET"):
 		if len(args) != 1 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpGet)
 		if c.s.cfg.Cache != nil {
@@ -464,26 +465,26 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				return errReply, false
 			}
 			if w, ok := cs.Get(k); ok {
-				return AppendRESPBulk(nil, appendUnpacked(nil, w)), false
+				return AppendRESPBulk(b, appendUnpacked(val[:0], w)), false
 			}
-			return AppendRESPNil(nil), false
+			return AppendRESPNil(b), false
 		}
 		sess, k, errReply := c.respSession(args[0])
 		if errReply != nil {
 			return errReply, false
 		}
 		if w, ok := sess.Get(k); ok {
-			return AppendRESPBulk(nil, appendUnpacked(nil, w)), false
+			return AppendRESPBulk(b, appendUnpacked(val[:0], w)), false
 		}
-		return AppendRESPNil(nil), false
+		return AppendRESPNil(b), false
 	case eq(cmd, "SET"):
 		if len(args) != 2 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpPut)
 		w, ok := packValue(args[1])
 		if !ok {
-			return AppendRESPError(nil, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return AppendRESPError(b, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		if c.s.cfg.Cache != nil {
 			cs, k, errReply := c.respCacheSession(args[0])
@@ -491,55 +492,55 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				return errReply, false
 			}
 			if err := cs.Set(k, w); err != nil {
-				return c.respSetErr(err), false
+				return c.respSetErr(b, err), false
 			}
-			return AppendRESPSimple(nil, "OK"), false
+			return AppendRESPSimple(b, "OK"), false
 		}
 		sess, k, errReply := c.respSession(args[0])
 		if errReply != nil {
 			return errReply, false
 		}
 		sess.Put(k, w)
-		return AppendRESPSimple(nil, "OK"), false
+		return AppendRESPSimple(b, "OK"), false
 	case eq(cmd, "SETEX"):
 		// SETEX key seconds value — SET plus a per-key TTL. Cache-only:
 		// without the cache layer the map has nowhere to keep a deadline.
 		if len(args) != 3 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpPut)
 		if c.s.cfg.Cache == nil {
-			return AppendRESPError(nil, "ERR SETEX requires the cache layer (run with -cache)"), false
+			return AppendRESPError(b, "ERR SETEX requires the cache layer (run with -cache)"), false
 		}
 		secs, okSecs := parseSeconds(args[1])
 		if !okSecs || secs <= 0 {
-			return AppendRESPError(nil, "ERR invalid expire time in 'setex' command"), false
+			return AppendRESPError(b, "ERR invalid expire time in 'setex' command"), false
 		}
 		w, ok := packValue(args[2])
 		if !ok {
-			return AppendRESPError(nil, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return AppendRESPError(b, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		cs, k, errReply := c.respCacheSession(args[0])
 		if errReply != nil {
 			return errReply, false
 		}
 		if err := cs.SetTTL(k, w, time.Duration(secs)*time.Second); err != nil {
-			return c.respSetErr(err), false
+			return c.respSetErr(b, err), false
 		}
-		return AppendRESPSimple(nil, "OK"), false
+		return AppendRESPSimple(b, "OK"), false
 	case eq(cmd, "EXPIRE"):
 		// EXPIRE key seconds → :1 deadline set, :0 key absent. A
 		// non-positive seconds deletes the key, as in Redis.
 		if len(args) != 2 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpPut)
 		if c.s.cfg.Cache == nil {
-			return AppendRESPError(nil, "ERR EXPIRE requires the cache layer (run with -cache)"), false
+			return AppendRESPError(b, "ERR EXPIRE requires the cache layer (run with -cache)"), false
 		}
 		secs, okSecs := parseSeconds(args[1])
 		if !okSecs {
-			return AppendRESPError(nil, "ERR invalid expire time in 'expire' command"), false
+			return AppendRESPError(b, "ERR invalid expire time in 'expire' command"), false
 		}
 		cs, k, errReply := c.respCacheSession(args[0])
 		if errReply != nil {
@@ -547,24 +548,24 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		}
 		if secs <= 0 {
 			if cs.Remove(k) {
-				return AppendRESPInt(nil, 1), false
+				return AppendRESPInt(b, 1), false
 			}
-			return AppendRESPInt(nil, 0), false
+			return AppendRESPInt(b, 0), false
 		}
 		if cs.Expire(k, time.Duration(secs)*time.Second) {
-			return AppendRESPInt(nil, 1), false
+			return AppendRESPInt(b, 1), false
 		}
-		return AppendRESPInt(nil, 0), false
+		return AppendRESPInt(b, 0), false
 	case eq(cmd, "TTL"):
 		// TTL key → :-2 absent (or expired), :-1 live without a
 		// deadline, :N seconds remaining (rounded up, so a key set with
 		// SETEX k 1 v answers :1 immediately).
 		if len(args) != 1 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpGet)
 		if c.s.cfg.Cache == nil {
-			return AppendRESPError(nil, "ERR TTL requires the cache layer (run with -cache)"), false
+			return AppendRESPError(b, "ERR TTL requires the cache layer (run with -cache)"), false
 		}
 		cs, k, errReply := c.respCacheSession(args[0])
 		if errReply != nil {
@@ -573,16 +574,16 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		remaining, hasTTL, ok := cs.TTL(k)
 		switch {
 		case !ok:
-			return AppendRESPInt(nil, -2), false
+			return AppendRESPInt(b, -2), false
 		case !hasTTL:
-			return AppendRESPInt(nil, -1), false
+			return AppendRESPInt(b, -1), false
 		default:
 			secs := int64((remaining + time.Second - 1) / time.Second)
-			return AppendRESPInt(nil, secs), false
+			return AppendRESPInt(b, secs), false
 		}
 	case eq(cmd, "DEL"):
 		if len(args) == 0 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpDel)
 		removed := int64(0)
@@ -599,10 +600,10 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				removed++
 			}
 		}
-		return AppendRESPInt(nil, removed), false
+		return AppendRESPInt(b, removed), false
 	case eq(cmd, "EXISTS"):
 		if len(args) == 0 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpGet)
 		found := int64(0)
@@ -619,18 +620,18 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				found++
 			}
 		}
-		return AppendRESPInt(nil, found), false
+		return AppendRESPInt(b, found), false
 	case eq(cmd, "CAS"):
 		// Extension: CAS key old new — the binary protocol's compare-and-
 		// swap, with old and new packed like SET values.
 		if len(args) != 3 {
-			return respWrongArity(cmd), false
+			return respWrongArity(b, cmd), false
 		}
 		c.countCmd(OpCAS)
 		old, ok1 := packValue(args[1])
 		nv, ok2 := packValue(args[2])
 		if !ok1 || !ok2 {
-			return AppendRESPError(nil, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return AppendRESPError(b, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		sess, k, errReply := c.respSession(args[0])
 		if errReply != nil {
@@ -639,11 +640,11 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		swapped, found := sess.CompareAndSwap(k, old, nv)
 		switch {
 		case swapped:
-			return AppendRESPInt(nil, 1), false
+			return AppendRESPInt(b, 1), false
 		case found:
-			return AppendRESPInt(nil, 0), false
+			return AppendRESPInt(b, 0), false
 		default:
-			return AppendRESPNil(nil), false
+			return AppendRESPNil(b), false
 		}
 	case eq(cmd, "INFO"):
 		c.countCmd(OpStats)
@@ -651,21 +652,21 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		if len(args) >= 1 {
 			section = upper(args[0])
 		}
-		return AppendRESPBulk(nil, c.s.respInfo(nil, section)), false
+		return AppendRESPBulk(b, c.s.respInfo(nil, section)), false
 	case eq(cmd, "COMMAND"), eq(cmd, "CONFIG"):
 		// redis-cli and benchmark tools probe these on connect; an empty
 		// array keeps them happy without pretending to implement them.
-		return append([]byte(nil), "*0\r\n"...), false
+		return append(b, "*0\r\n"...), false
 	case eq(cmd, "SELECT"):
-		return AppendRESPSimple(nil, "OK"), false
+		return AppendRESPSimple(b, "OK"), false
 	case eq(cmd, "QUIT"):
-		return AppendRESPSimple(nil, "OK"), true
+		return AppendRESPSimple(b, "OK"), true
 	}
-	return AppendRESPError(nil, "ERR unknown command '"+string(cmd)+"'"), false
+	return AppendRESPError(b, "ERR unknown command '"+string(cmd)+"'"), false
 }
 
-func respWrongArity(cmd []byte) []byte {
-	return AppendRESPError(nil, "ERR wrong number of arguments for '"+string(cmd)+"'")
+func respWrongArity(b, cmd []byte) []byte {
+	return AppendRESPError(b, "ERR wrong number of arguments for '"+string(cmd)+"'")
 }
 
 // respInfo renders a redis-style INFO document. section narrows the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"net"
@@ -42,8 +41,9 @@ type Config struct {
 	Cache *ttlcache.Sharded
 	// Window bounds the per-connection in-flight pipeline: responses
 	// executed but not yet written. When the writer falls this far behind,
-	// the reader stops reading from the socket, so backpressure reaches
-	// the client as TCP flow control. Default 256.
+	// the reader stops decoding, so backpressure reaches the client as TCP
+	// flow control. The reader reads ahead of the window by at most one
+	// 32 KiB buffer of undecoded bytes. Default 256.
 	Window int
 	// LeaseWait bounds how long a request waits for a free session slot
 	// on its target shard before the server answers BUSY. A short wait
@@ -656,6 +656,11 @@ type conn struct {
 	// 1-in-SpanSample trace emission.
 	sp      trace.Span
 	spanSeq uint64
+	// scratch is the reader goroutine's response encode buffer: replies
+	// the reader builds (inline data ops, protocol ops, errors, RESP) are
+	// encoded here and copied into the outbox, so they allocate nothing
+	// unless they outgrow it.
+	scratch [32]byte
 	// Per-request attribution filled in by respSession for the RESP
 	// loop, whose dispatch routes inside respExecute (variadic commands
 	// touch several shards; the span is attributed to the first).
@@ -799,7 +804,7 @@ func (c *conn) readLoopInline() {
 				// answer with the typed error, then cut — the stream past a
 				// hostile prefix cannot be resynchronized.
 				c.s.badTotal.Add(1)
-				c.reply(AppendFrame(nil, 0, StFrameTooBig))
+				c.reply(AppendFrame(c.scratch[:0], 0, StFrameTooBig))
 			}
 			return // EOF: client closed; anything else: cut the pipeline
 		}
@@ -808,13 +813,13 @@ func (c *conn) readLoopInline() {
 		nargs, known := argWords(f.Code)
 		if !known || f.Code == OpGoAway || len(f.Body) != 8*nargs {
 			c.s.badTotal.Add(1)
-			c.reply(AppendFrame(nil, f.ID, StBadRequest))
+			c.reply(AppendFrame(c.scratch[:0], f.ID, StBadRequest))
 			continue
 		}
 		c.stripe.reqsTotal[f.Code].Add(1)
 		switch f.Code {
 		case OpPing:
-			c.reply(AppendFrame(nil, f.ID, StOK))
+			c.reply(AppendFrame(c.scratch[:0], f.ID, StOK))
 			continue
 		case OpStats:
 			c.reply(appendBytesFrame(nil, f.ID, StOK, c.s.statsBody()))
@@ -834,7 +839,7 @@ func (c *conn) readLoopInline() {
 			} else {
 				c.s.busyTotal.Add(1)
 			}
-			c.reply(AppendFrame(nil, f.ID, status))
+			c.reply(AppendFrame(c.scratch[:0], f.ID, status))
 			c.sp.Mark(trace.StageQueue)
 			c.finishSpan(nil, f.Code, status, shard, 0, 0)
 			continue
@@ -918,7 +923,7 @@ func (c *conn) execute(sess *kvmap.Session, f frame) (resp []byte, fatal bool) {
 			}
 			c.s.capTotal.Add(1)
 			c.s.logf("conn %d: capacity exhausted: %v", c.id, err)
-			resp, fatal = AppendFrame(nil, f.ID, StCapacity), true
+			resp, fatal = AppendFrame(c.scratch[:0], f.ID, StCapacity), true
 		}
 	}()
 	var key, a1, a2 uint64
@@ -931,52 +936,40 @@ func (c *conn) execute(sess *kvmap.Session, f frame) (resp []byte, fatal bool) {
 			a2 = f.word(2)
 		}
 	}
-	return runOp(sess, f.Code, f.ID, key, a1, a2), false
+	return runOp(c.scratch[:0], sess, f.Code, f.ID, key, a1, a2), false
 }
 
-// writeLoop batches responses: it takes the contiguous completed run off
-// the outbox, writes it into the buffered writer, and flushes only when
-// nothing more is immediately releasable (or the buffer fills), so a
-// pipelining client costs ~one syscall per batch, not per response. The
-// GOAWAY push frame exists only in the binary protocol; RESP2 has no
+// writeBufSize is the writer's flush threshold.
+const writeBufSize = 32 << 10
+
+// writeLoop batches responses: it copies the contiguous completed run
+// off the outbox into its own buffer, and writes only when nothing more
+// is immediately releasable (or the buffer holds writeBufSize bytes), so
+// a pipelining client costs ~one syscall per batch, not per response.
+// The GOAWAY push frame exists only in the binary protocol; RESP2 has no
 // server-initiated signal, so RESP connections just observe the drain as
 // their eventual close. A dead socket flips the loop into discard mode —
 // it keeps consuming completions so neither the reader (window space)
 // nor the executors' ledger ever depends on the peer.
 func (c *conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
+	out := make([]byte, 0, writeBufSize)
 	dead := false
-	var frames [][]byte
 	for {
 		var ga, closed bool
-		frames, ga, closed = c.ob.take(frames[:0])
-		if ga {
-			if c.proto == protoBinary && !dead {
-				bw.Write(AppendFrame(nil, 0, StGoAway))
-				if bw.Flush() != nil {
-					dead = true
-				}
-			}
-			continue
+		out, ga, closed = c.ob.take(out)
+		if ga && c.proto == protoBinary {
+			out = AppendFrame(out, 0, StGoAway)
 		}
-		if !dead {
-			for _, b := range frames {
-				if _, err := bw.Write(b); err != nil {
+		if len(out) > 0 && (ga || closed || len(out) >= writeBufSize || c.ob.empty()) {
+			if !dead {
+				if _, err := c.nc.Write(out); err != nil {
 					dead = true
-					break
 				}
 			}
+			out = out[:0]
 		}
 		if closed {
-			if !dead {
-				bw.Flush()
-			}
 			return
-		}
-		if !dead && bw.Buffered() > 0 && c.ob.empty() {
-			if bw.Flush() != nil {
-				dead = true
-			}
 		}
 	}
 }

@@ -1,6 +1,12 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -445,5 +451,142 @@ func TestServerEncodePathsDoNotAllocate(t *testing.T) {
 			t.Fatalf("ShardIndex allocates %.2f objects/op", avg)
 		}
 		_ = sink
+	})
+}
+
+// pipeListener hands in-memory connections to a Server's accept loop.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// serveOverPipe runs serve (s.Serve or s.ServeRESP) on one net.Pipe
+// connection and returns the client end. Cleanup closes the client,
+// drains the server and waits for serve to return.
+func serveOverPipe(t *testing.T, s *server.Server, serve func(net.Listener) error) net.Conn {
+	t.Helper()
+	ln := &pipeListener{conns: make(chan net.Conn, 1), done: make(chan struct{})}
+	cli, srv := net.Pipe()
+	ln.conns <- srv
+	done := make(chan error, 1)
+	go func() { done <- serve(ln) }()
+	t.Cleanup(func() {
+		cli.Close()
+		s.Shutdown()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return cli
+}
+
+// The full request path of each protocol — socket read, decode, routing,
+// execution, the outbox and the write loop — must not allocate per
+// request once warm: the reader decodes out of a read-ahead buffer,
+// responses are encoded into per-executor or per-connection scratch
+// space and copied into the outbox's retained slots, and the writer
+// copies them into its own buffer. Driven over net.Pipe, so every
+// allocation in the process counts, the client's raw reads and writes
+// included.
+func TestServerWirePathsDoNotAllocate(t *testing.T) {
+	t.Run("BinaryBatchedGetPut", func(t *testing.T) {
+		sh := kvmap.NewSharded(core.Config{MaxThreads: 2, Capacity: 1 << 12}, 1<<10, 2)
+		defer sh.Close()
+		s := server.New(server.Config{Shards: sh, MaxConns: 2})
+		cli := serveOverPipe(t, s, s.Serve)
+		// One PUT and one GET hit per round trip, on one pipelined write.
+		req := server.AppendFrame(nil, 1, server.OpPut, 7, 42)
+		req = server.AppendFrame(req, 2, server.OpGet, 7)
+		want := server.AppendFrame(nil, 1, server.StOK, 42)
+		want = server.AppendFrame(want, 2, server.StOK, 42)
+		resp := make([]byte, len(want))
+		roundTrip := func() {
+			if _, err := cli.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(cli, resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		roundTrip() // the first PUT inserts the key
+		if avg := testing.AllocsPerRun(1000, roundTrip); avg > 0.05 {
+			t.Fatalf("batched GET+PUT round trip allocates %.2f objects/op", avg)
+		}
+		if !bytes.Equal(resp, want) {
+			t.Fatalf("responses % x, want % x", resp, want)
+		}
+		// STATS confirms the requests ran on the shard executors.
+		if _, err := cli.Write(server.AppendFrame(nil, 3, server.OpStats)); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [4]byte
+		if _, err := io.ReadFull(cli, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(cli, body); err != nil {
+			t.Fatal(err)
+		}
+		var stats struct {
+			Server server.Snapshot `json:"server"`
+		}
+		if err := json.Unmarshal(body[9:], &stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Server.BatchedOps == 0 {
+			t.Fatal("no request ran on the executors: the batched path was not measured")
+		}
+	})
+
+	t.Run("RESPGetSet", func(t *testing.T) {
+		sh := kvmap.NewSharded(core.Config{MaxThreads: 2, Capacity: 1 << 12}, 1<<10, 1)
+		defer sh.Close()
+		s := server.New(server.Config{Shards: sh})
+		cli := serveOverPipe(t, s, s.ServeRESP)
+		set := []byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$3\r\nabc\r\n")
+		// A GET hit, a GET miss and an overwriting SET per round trip.
+		get := []byte("*2\r\n$3\r\nGET\r\n$1\r\nk\r\n*2\r\n$3\r\nGET\r\n$1\r\nm\r\n" +
+			"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$3\r\nabc\r\n")
+		want := []byte("$3\r\nabc\r\n$-1\r\n+OK\r\n")
+		resp := make([]byte, 32)
+		if _, err := cli.Write(set); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(cli, resp[:5]); err != nil || string(resp[:5]) != "+OK\r\n" {
+			t.Fatalf("SET reply %q, %v", resp[:5], err)
+		}
+		resp = resp[:len(want)]
+		roundTrip := func() {
+			if _, err := cli.Write(get); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(cli, resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		roundTrip()
+		if avg := testing.AllocsPerRun(1000, roundTrip); avg > 0.05 {
+			t.Fatalf("RESP GET hit+miss+SET round trip allocates %.2f objects/op", avg)
+		}
+		if !bytes.Equal(resp, want) {
+			t.Fatalf("replies %q, want %q", resp, want)
+		}
 	})
 }
