@@ -24,11 +24,13 @@ test:
 
 # The race detector focused where the lock-free interleavings live: the
 # reclamation core, the sharded block pools, the MPMC request rings, the
-# generic OA kit, the aux-word protocol of the TTL/LRU cache, and the
-# server (its outbox hands response buffers across goroutines).
+# generic OA kit, the kv map (home of the aux-word CAS the TTL/LRU cache
+# builds on) and the cache itself, the server (its outbox hands response
+# buffers across goroutines), and the telemetry it samples concurrently
+# (flight recorder, trace rings, obs registry).
 # -short keeps it inside a merge-gate budget; race-full sweeps everything.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/... ./internal/server/...
+	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/server/... ./internal/flight/... ./internal/trace/... ./internal/obs/...
 
 race-full:
 	$(GO) test -race ./...
@@ -43,6 +45,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMapVsModel -fuzztime 30s ./internal/kvmap
 	$(GO) test -fuzz FuzzOAQueueVsModel -fuzztime 30s ./internal/queue
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 30s ./internal/server
+	$(GO) test -fuzz FuzzRESPReader -fuzztime 30s ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -19,7 +19,9 @@
 // lazily, a background sweeper runs every -sweep-interval, SETEX /
 // EXPIRE / TTL come alive, and under -max-entries or node-budget
 // pressure the cache evicts approximately-LRU entries instead of
-// answering -OOM.
+// answering -OOM. Without -expected, a cache with a -max-entries
+// watermark sizes its hash tables for the watermark rather than for
+// half of -capacity, so each eviction walks a few dozen buckets.
 //
 // SIGTERM/SIGINT starts a graceful drain: stop accepting, GOAWAY every
 // binary-protocol connection, serve until clients finish their pipelines
@@ -67,7 +69,7 @@ func main() {
 		threads      = flag.Int("threads", 32, "per-shard session registry size (max concurrent leases per shard)")
 		shards       = flag.Int("shards", 0, "keyspace shards, rounded up to a power of two (0 = one per core)")
 		capacity     = flag.Int("capacity", 1<<20, "total node budget across shards (live entries + reclamation slack)")
-		expected     = flag.Int("expected", 0, "expected live entries across shards (0 = capacity/2)")
+		expected     = flag.Int("expected", 0, "expected live entries across shards, which sizes the hash tables (0 = -max-entries with -cache and a watermark, else capacity/2)")
 		window       = flag.Int("window", 256, "per-connection in-flight response window")
 		execMode     = flag.String("exec", "batched", "execution model: batched (per-shard executors over MPMC rings) or inline (per-connection leases)")
 		ringSize     = flag.Int("ring-size", 1024, "per-shard request ring bound (batched mode)")
@@ -90,9 +92,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *expected <= 0 {
-		*expected = *capacity / 2
+	watermark := 0
+	if *cacheOn {
+		watermark = *maxEntries
 	}
+	*expected = ttlcache.Expected(*expected, watermark, *capacity)
 	if *execMode != "batched" && *execMode != "inline" {
 		fmt.Fprintf(os.Stderr, "oaserver: unknown -exec %q (want batched or inline)\n", *execMode)
 		os.Exit(2)

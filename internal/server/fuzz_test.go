@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -121,5 +123,104 @@ func FuzzFrameReader(f *testing.F) {
 			{id: ^id, code: code + 1, body: body[:8*len(words)]},
 			{err: io.EOF},
 		})
+	})
+}
+
+// decodeRESP reads commands until the stream ends, copying each argument
+// vector out of the reader's reused buffers. The bufio buffer is the
+// smallest allowed, so lines and bulk strings straddle refills.
+func decodeRESP(r io.Reader) ([][][]byte, error) {
+	rr := newRESPReader(bufio.NewReaderSize(r, 16))
+	var cmds [][][]byte
+	for {
+		args, err := rr.readCommand()
+		if err != nil {
+			return cmds, err
+		}
+		cmd := make([][]byte, len(args))
+		for i, a := range args {
+			cmd[i] = append([]byte{}, a...)
+		}
+		cmds = append(cmds, cmd)
+	}
+}
+
+// respErrClass names the ways a RESP stream may end; "" is any other
+// error, which the reader must never return.
+func respErrClass(err error) string {
+	switch {
+	case err == io.EOF:
+		return "eof"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "unexpected-eof"
+	case errors.Is(err, ErrRESPProtocol):
+		return "protocol"
+	}
+	return ""
+}
+
+// FuzzRESPReader drives the RESP decoder with hostile bytes under every
+// read split: it must never panic, must end the stream with a clean
+// io.EOF, io.ErrUnexpectedEOF or an ErrRESPProtocol error, must never
+// yield a command past respMaxArgs arguments or an argument past
+// respMaxBulk bytes, and must decode the same commands and end the same
+// way whatever the split.
+func FuzzRESPReader(f *testing.F) {
+	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$3\r\nabc\r\n*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"))
+	f.Add([]byte("PING\r\nSET  k   v\r\n\r\n   \r\n"))
+	f.Add([]byte("*2\r\n$3\r\nGET\r\n$5\r\nk"))
+	f.Add([]byte("*1\r\n$70000\r\n"))
+	f.Add([]byte("*65\r\n"))
+	f.Add([]byte("*-1\r\n*1\r\n:1\r\n"))
+	f.Add([]byte("*1\r\n$2\r\nabXY"))
+	f.Add([]byte("GET k\n"))
+	f.Add([]byte("PING"))
+	f.Add([]byte(strings.Repeat("a ", respMaxArgs+1) + "\r\n"))
+	// One byte past the bulk and line limits, with the bytes present.
+	f.Add([]byte("*1\r\n$65537\r\n" + strings.Repeat("x", respMaxBulk+1) + "\r\n"))
+	f.Add([]byte(strings.Repeat("x", respMaxBulk+1) + "\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ref [][][]byte
+		var refClass string
+		for i, sp := range frameSplits {
+			cmds, err := decodeRESP(sp.wrap(bytes.NewReader(data)))
+			class := respErrClass(err)
+			if class == "" {
+				t.Fatalf("%s: stream ended with untyped error %v", sp.name, err)
+			}
+			// Every command ends in a line feed, so a stream cut anywhere
+			// else ended mid-command and is not a clean io.EOF.
+			if class == "eof" && len(data) > 0 && data[len(data)-1] != '\n' {
+				t.Fatalf("%s: clean io.EOF on a stream cut mid-command", sp.name)
+			}
+			for _, args := range cmds {
+				if len(args) > respMaxArgs {
+					t.Fatalf("%s: command with %d args, limit %d", sp.name, len(args), respMaxArgs)
+				}
+				for _, a := range args {
+					if len(a) > respMaxBulk {
+						t.Fatalf("%s: %d-byte arg, limit %d", sp.name, len(a), respMaxBulk)
+					}
+				}
+			}
+			if i == 0 {
+				ref, refClass = cmds, class
+				continue
+			}
+			if class != refClass || len(cmds) != len(ref) {
+				t.Fatalf("%s: %d commands then %s, whole read gave %d then %s",
+					sp.name, len(cmds), class, len(ref), refClass)
+			}
+			for j := range cmds {
+				if len(cmds[j]) != len(ref[j]) {
+					t.Fatalf("%s: command %d has %d args, whole read %d", sp.name, j, len(cmds[j]), len(ref[j]))
+				}
+				for k := range cmds[j] {
+					if !bytes.Equal(cmds[j][k], ref[j][k]) {
+						t.Fatalf("%s: command %d arg %d = %q, whole read %q", sp.name, j, k, cmds[j][k], ref[j][k])
+					}
+				}
+			}
+		}
 	})
 }

@@ -85,6 +85,23 @@ func AppendRESPError(b []byte, msg string) []byte {
 	return append(b, '\r', '\n')
 }
 
+// appendRESPErrorArg appends -head<arg>tail\r\n with any CR or LF in
+// arg blanked: arg may echo client bytes (a command name) and must not
+// end the reply line early.
+func appendRESPErrorArg[T string | []byte](b []byte, head string, arg T, tail string) []byte {
+	b = append(b, '-')
+	b = append(b, head...)
+	start := len(b)
+	b = append(b, arg...)
+	for i := start; i < len(b); i++ {
+		if b[i] == '\r' || b[i] == '\n' {
+			b[i] = ' '
+		}
+	}
+	b = append(b, tail...)
+	return append(b, '\r', '\n')
+}
+
 // AppendRESPInt appends :n\r\n.
 func AppendRESPInt(b []byte, n int64) []byte {
 	b = append(b, ':')
@@ -160,20 +177,22 @@ func newRESPReader(br *bufio.Reader) *respReader {
 	return &respReader{br: br, args: make([][]byte, 0, 8), flat: make([]byte, 0, 256)}
 }
 
-// readLine reads up to \r\n, rejecting lines past respMaxBulk.
+// readLine reads up to \r\n, rejecting lines past respMaxBulk. It is
+// only called mid-command, so a stream that ends first is reported as
+// io.ErrUnexpectedEOF.
 func (r *respReader) readLine() ([]byte, error) {
 	r.line = r.line[:0]
 	for {
 		chunk, err := r.br.ReadSlice('\n')
 		r.line = append(r.line, chunk...)
+		if len(r.line) > respMaxBulk+2 {
+			return nil, fmt.Errorf("line exceeds %d bytes: %w", respMaxBulk, ErrRESPProtocol)
+		}
 		if err == nil {
 			break
 		}
 		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-		if len(r.line) > respMaxBulk {
-			return nil, fmt.Errorf("line exceeds %d bytes: %w", respMaxBulk, ErrRESPProtocol)
+			return nil, unexpectedEOF(err)
 		}
 	}
 	n := len(r.line)
@@ -196,22 +215,24 @@ func (r *respReader) readCommand() ([][]byte, error) {
 	if first != '*' {
 		// Inline command: a space-separated line (redis-cli's fallback and
 		// the simplest thing a human can type over nc).
+		_ = r.br.UnreadByte() // cannot fail right after a successful ReadByte
 		line, err := r.readLine()
 		if err != nil {
 			return nil, err
 		}
-		r.flat = append(r.flat, first)
-		r.flat = append(r.flat, line...)
 		start := -1
-		for i := 0; i <= len(r.flat); i++ {
-			if i < len(r.flat) && r.flat[i] != ' ' {
+		for i := 0; i <= len(line); i++ {
+			if i < len(line) && line[i] != ' ' {
 				if start < 0 {
 					start = i
 				}
 				continue
 			}
 			if start >= 0 {
-				r.args = append(r.args, r.flat[start:i])
+				if len(r.args) == respMaxArgs {
+					return nil, fmt.Errorf("inline command exceeds %d arguments: %w", respMaxArgs, ErrRESPProtocol)
+				}
+				r.args = append(r.args, line[start:i])
 				start = -1
 			}
 		}
@@ -241,7 +262,7 @@ func (r *respReader) readCommand() ([][]byte, error) {
 		}
 		line, err := r.readLine()
 		if err != nil {
-			return nil, unexpectedEOF(err)
+			return nil, err
 		}
 		n, err := strconv.Atoi(string(line))
 		if err != nil || n < 0 || n > respMaxBulk {
@@ -302,30 +323,38 @@ func (c *conn) countCmd(op uint8) {
 // back in command order.
 func (c *conn) respReadLoop() {
 	rr := newRESPReader(bufio.NewReaderSize(c.nc, 32<<10))
+	// out is the reply encode buffer: c.scratch until a longer reply (an
+	// error echoing the command name) outgrows it, then the grown buffer,
+	// kept while it is at most slotKeep bytes so such replies stop
+	// allocating once warm.
+	out := c.scratch[:0]
 	for {
 		c.sp.Begin()
 		args, err := rr.readCommand()
 		if err != nil {
 			if errors.Is(err, ErrRESPProtocol) {
 				c.s.badTotal.Add(1)
-				c.reply(AppendRESPError(c.scratch[:0], "ERR protocol error: "+err.Error()))
+				c.reply(appendRESPErrorArg(out, "ERR protocol error: ", err.Error(), ""))
 			}
 			return
 		}
 		c.sp.Mark(trace.StageRead)
 		c.stripe.reqsRead.Add(1)
 		if len(args) == 0 {
-			c.reply(AppendRESPError(c.scratch[:0], "ERR empty command"))
+			c.reply(AppendRESPError(out, "ERR empty command"))
 			continue
 		}
 		// Dispatch routes inside respExecute (a variadic DEL touches
 		// several shards), so the per-request attribution travels on the
 		// conn: respSession fills it on the request's first shard touch.
 		c.reqOp, c.reqSess, c.reqTS, c.reqShrd = 0, nil, nil, 0
-		resp, fatal := c.respExecute(c.scratch[:0], upper(args[0]), args[1:])
+		resp, fatal := c.respExecute(out, upper(args[0]), args[1:])
 		c.sp.Mark(trace.StageExec)
 		status := respStatusOf(resp)
 		c.reply(resp)
+		if cap(resp) <= slotKeep {
+			out = resp[:0]
+		}
 		c.sp.Mark(trace.StageQueue)
 		var restarts, drains uint64
 		if c.reqTS != nil {
@@ -367,9 +396,9 @@ func respStatusOf(resp []byte) uint8 {
 }
 
 // respSession routes a RESP key and returns (shard session, shard,
-// errReply): errReply is non-nil when the shard's registry is exhausted
-// or closed.
-func (c *conn) respSession(key []byte) (*kvmap.Session, uint64, []byte) {
+// errReply): errReply is non-nil, appended to b, when the shard's
+// registry is exhausted or closed.
+func (c *conn) respSession(b, key []byte) (*kvmap.Session, uint64, []byte) {
 	// Close the running exec leg (argument parse, or the previous key's
 	// op in a variadic command) before attributing route/lease time.
 	c.sp.Mark(trace.StageExec)
@@ -381,10 +410,12 @@ func (c *conn) respSession(key []byte) (*kvmap.Session, uint64, []byte) {
 	if err != nil {
 		c.reqShrd = int32(shard)
 		if errors.Is(err, lease.ErrClosed) {
-			return nil, 0, AppendRESPError(nil, "ERR server is draining")
+			return nil, 0, AppendRESPError(b, "ERR server is draining")
 		}
 		c.s.busyTotal.Add(1)
-		return nil, 0, AppendRESPError(nil, "BUSY no free session slot on shard "+strconv.Itoa(shard)+"; retry")
+		b = append(b, "-BUSY no free session slot on shard "...)
+		b = strconv.AppendInt(b, int64(shard), 10)
+		return nil, 0, append(b, "; retry\r\n"...)
 	}
 	c.s.stripes[shard].ops.Add(1)
 	if c.reqSess == nil {
@@ -403,8 +434,8 @@ func (c *conn) respSession(key []byte) (*kvmap.Session, uint64, []byte) {
 // shard's session with the shard's TTL/LRU cache layer. Only called
 // when c.s.cfg.Cache is set; the wrap is a value, so per-request
 // wrapping allocates nothing.
-func (c *conn) respCacheSession(key []byte) (ttlcache.Session, uint64, []byte) {
-	sess, k, errReply := c.respSession(key)
+func (c *conn) respCacheSession(b, key []byte) (ttlcache.Session, uint64, []byte) {
+	sess, k, errReply := c.respSession(b, key)
 	if errReply != nil {
 		return ttlcache.Session{}, 0, errReply
 	}
@@ -426,7 +457,7 @@ func (c *conn) respSetErr(b []byte, err error) []byte {
 		c.s.capTotal.Add(1)
 		return AppendRESPError(b, "OOM node budget exhausted after eviction relief")
 	}
-	return AppendRESPError(b, "ERR "+err.Error())
+	return appendRESPErrorArg(b, "ERR ", err.Error(), "")
 }
 
 func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal bool) {
@@ -460,7 +491,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		}
 		c.countCmd(OpGet)
 		if c.s.cfg.Cache != nil {
-			cs, k, errReply := c.respCacheSession(args[0])
+			cs, k, errReply := c.respCacheSession(b, args[0])
 			if errReply != nil {
 				return errReply, false
 			}
@@ -469,7 +500,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 			}
 			return AppendRESPNil(b), false
 		}
-		sess, k, errReply := c.respSession(args[0])
+		sess, k, errReply := c.respSession(b, args[0])
 		if errReply != nil {
 			return errReply, false
 		}
@@ -487,7 +518,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 			return AppendRESPError(b, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		if c.s.cfg.Cache != nil {
-			cs, k, errReply := c.respCacheSession(args[0])
+			cs, k, errReply := c.respCacheSession(b, args[0])
 			if errReply != nil {
 				return errReply, false
 			}
@@ -496,7 +527,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 			}
 			return AppendRESPSimple(b, "OK"), false
 		}
-		sess, k, errReply := c.respSession(args[0])
+		sess, k, errReply := c.respSession(b, args[0])
 		if errReply != nil {
 			return errReply, false
 		}
@@ -520,7 +551,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		if !ok {
 			return AppendRESPError(b, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
-		cs, k, errReply := c.respCacheSession(args[0])
+		cs, k, errReply := c.respCacheSession(b, args[0])
 		if errReply != nil {
 			return errReply, false
 		}
@@ -542,7 +573,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		if !okSecs {
 			return AppendRESPError(b, "ERR invalid expire time in 'expire' command"), false
 		}
-		cs, k, errReply := c.respCacheSession(args[0])
+		cs, k, errReply := c.respCacheSession(b, args[0])
 		if errReply != nil {
 			return errReply, false
 		}
@@ -567,7 +598,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		if c.s.cfg.Cache == nil {
 			return AppendRESPError(b, "ERR TTL requires the cache layer (run with -cache)"), false
 		}
-		cs, k, errReply := c.respCacheSession(args[0])
+		cs, k, errReply := c.respCacheSession(b, args[0])
 		if errReply != nil {
 			return errReply, false
 		}
@@ -588,7 +619,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		c.countCmd(OpDel)
 		removed := int64(0)
 		for _, key := range args {
-			sess, k, errReply := c.respSession(key)
+			sess, k, errReply := c.respSession(b, key)
 			if errReply != nil {
 				return errReply, false
 			}
@@ -608,7 +639,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		c.countCmd(OpGet)
 		found := int64(0)
 		for _, key := range args {
-			sess, k, errReply := c.respSession(key)
+			sess, k, errReply := c.respSession(b, key)
 			if errReply != nil {
 				return errReply, false
 			}
@@ -633,7 +664,7 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 		if !ok1 || !ok2 {
 			return AppendRESPError(b, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
-		sess, k, errReply := c.respSession(args[0])
+		sess, k, errReply := c.respSession(b, args[0])
 		if errReply != nil {
 			return errReply, false
 		}
@@ -662,11 +693,11 @@ func (c *conn) respExecute(b, cmd []byte, args [][]byte) (resp []byte, fatal boo
 	case eq(cmd, "QUIT"):
 		return AppendRESPSimple(b, "OK"), true
 	}
-	return AppendRESPError(b, "ERR unknown command '"+string(cmd)+"'"), false
+	return appendRESPErrorArg(b, "ERR unknown command '", cmd, "'"), false
 }
 
 func respWrongArity(b, cmd []byte) []byte {
-	return AppendRESPError(b, "ERR wrong number of arguments for '"+string(cmd)+"'")
+	return appendRESPErrorArg(b, "ERR wrong number of arguments for '", cmd, "'")
 }
 
 // respInfo renders a redis-style INFO document. section narrows the

@@ -117,6 +117,14 @@ func TestRESPErrors(t *testing.T) {
 	if v, _ := c.Do("GET"); !v.IsError() || !strings.Contains(string(v.Str), "wrong number") {
 		t.Fatalf("GET arity error = %+v", v)
 	}
+	// A command name carrying CR/LF is echoed on one line: the next reply
+	// stays in step.
+	if v, _ := c.Do("NO\r\n+OK", "x"); !v.IsError() || string(v.Str) != "ERR unknown command 'NO  +OK'" {
+		t.Fatalf("unknown command with CRLF = %+v", v)
+	}
+	if v, _ := c.Do("PING"); string(v.Str) != "PONG" {
+		t.Fatalf("PING after CRLF echo = %+v", v)
+	}
 	if v, _ := c.Do("INFO"); v.Type != '$' || !bytes.Contains(v.Str, []byte("oa_server:1")) {
 		t.Fatalf("INFO = %+v, want bulk containing oa_server:1", v)
 	}

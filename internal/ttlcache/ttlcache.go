@@ -9,7 +9,7 @@
 // All per-entry state lives in the kvmap node's Aux word:
 //
 //	bit  63     tombstone: the entry is logically dead, permanently
-//	bits 40..62 access stamp: seconds since the cache epoch (LRU, ~97d wrap)
+//	bits 40..62 access stamp: 10ms ticks since the cache epoch (LRU, ~23h wrap)
 //	bits  0..39 deadline: milliseconds since the cache epoch; 0 = no TTL
 //
 // An entry is dead when its tombstone is set or its deadline has passed.
@@ -48,6 +48,21 @@
 // insert, and an optional background sweeper unlinks dead entries so
 // their slots recycle through the ordinary retire → warning → drain
 // pipeline without waiting for a reader to trip over them.
+//
+// Candidates rank by wrap-aware age, (nowTick − stamp) mod 2^23, so a
+// stamp taken just after the wrap still reads younger than one taken
+// just before it. The 10ms tick keeps the ranking sharp when the
+// eviction cursor laps the table in well under a second; a stamp only
+// misranks once it is a full wrap (~23h) old. A victim is tombstoned by
+// a CAS from the aux word it was sampled with, so an entry touched
+// between sampling and eviction survives the pass.
+//
+// # Sizing
+//
+// Each eviction walks buckets until it holds enough candidates, so its
+// cost follows the table's bucket count per live entry. Expected is the
+// one sizing rule every cache constructor applies: a cache with a
+// watermark is sized for the watermark, not for its node budget.
 package ttlcache
 
 import (
@@ -64,16 +79,42 @@ const (
 	tombBit      = uint64(1) << 63
 	deadlineBits = 40
 	deadlineMask = uint64(1)<<deadlineBits - 1
-	accessMask   = (uint64(1)<<23 - 1) << deadlineBits
+	accessBits   = 23
+	accessMask   = (uint64(1)<<accessBits - 1) << deadlineBits
+	// tickMs is the access-stamp resolution: 23 bits of 10ms ticks wrap
+	// after about 23 hours.
+	tickMs = 10
 )
 
 // NoExpiry marks an entry without a deadline.
 const NoExpiry time.Duration = -1
 
+// Expected is the expected-entry count a cache's kvmap is sized for:
+// an explicit expected > 0 wins; otherwise a cache with an LRU
+// watermark maxLive > 0 is sized for the watermark, since eviction
+// holds its live set there; otherwise half the node budget capacity.
+// Sizing a watermarked cache for its node budget would leave most
+// buckets empty, and every eviction would walk them to gather
+// candidates.
+func Expected(expected, maxLive, capacity int) int {
+	switch {
+	case expected > 0:
+		return expected
+	case maxLive > 0:
+		return maxLive
+	}
+	return capacity / 2
+}
+
 func deadlineOf(a uint64) int64 { return int64(a & deadlineMask) }
 
 func withAccess(a uint64, nowMs int64) uint64 {
-	return a&^accessMask | (uint64(nowMs/1000)<<deadlineBits)&accessMask
+	return a&^accessMask | (uint64(nowMs/tickMs)<<deadlineBits)&accessMask
+}
+
+// ageOf is how many ticks ago a was stamped, modulo the stamp's wrap.
+func ageOf(a uint64, nowMs int64) uint64 {
+	return (uint64(nowMs/tickMs) - a>>deadlineBits) & (1<<accessBits - 1)
 }
 
 func withDeadline(a uint64, d int64) uint64 {
@@ -200,7 +241,7 @@ func (s Session) Release() { s.ks.Release() }
 
 // Get returns the value under key if the entry is alive. A dead entry is
 // reaped on the way out (lazy expiry); a live hit refreshes the LRU
-// access stamp at second granularity.
+// access stamp at tick (10ms) granularity.
 func (s Session) Get(key uint64) (uint64, bool) {
 	v, a, ok := s.ks.GetWithAux(key)
 	if !ok {
@@ -390,22 +431,13 @@ func (c *Cache) reap(ks *kvmap.Session, key uint64) bool {
 	return false
 }
 
-// evictOne tombstones and unlinks a specific live victim (LRU choice).
-func (c *Cache) evictOne(ks *kvmap.Session, key uint64) bool {
-	for {
-		_, a, ok := ks.GetWithAux(key)
-		if !ok {
-			return false
-		}
-		if a&tombBit != 0 {
-			break
-		}
-		if isDead(a, c.nowMs()) {
-			return c.reap(ks, key)
-		}
-		if swapped, found := ks.AuxCAS(key, a, a|tombBit); swapped || !found {
-			break
-		}
+// evictOne tombstones and unlinks an LRU victim. The tombstone CAS
+// expects the aux word the victim was sampled with, so a victim whose
+// stamp, deadline or tombstone changed since sampling is spared and the
+// caller moves on to its next candidate.
+func (c *Cache) evictOne(ks *kvmap.Session, key, sampled uint64) bool {
+	if swapped, _ := ks.AuxCAS(key, sampled, sampled|tombBit); !swapped {
+		return false
 	}
 	if ks.RemoveIfAux(key, tombBit, tombBit) {
 		c.live.Add(-1)
@@ -437,8 +469,7 @@ func (c *Cache) evictBatch(ks *kvmap.Session, want int) int {
 		want = 1
 	}
 	type cand struct {
-		key    uint64
-		access uint64
+		key, aux uint64
 	}
 	var cands [64]cand
 	n := 0
@@ -466,7 +497,7 @@ func (c *Cache) evictBatch(ks *kvmap.Session, want int) int {
 				return true
 			}
 			if n < len(cands) {
-				cands[n] = cand{key: k, access: a & accessMask}
+				cands[n] = cand{key: k, aux: a}
 				n++
 			}
 			return n < len(cands)
@@ -475,14 +506,17 @@ func (c *Cache) evictBatch(ks *kvmap.Session, want int) int {
 			break
 		}
 	}
+	// Rank against a clock read after sampling: every sampled stamp was
+	// written before it, so no age can wrap around from the future.
+	now = c.nowMs()
 	for freed < want && n > 0 {
-		oldest := 0
+		oldest, oldestAge := 0, ageOf(cands[0].aux, now)
 		for i := 1; i < n; i++ {
-			if cands[i].access < cands[oldest].access {
-				oldest = i
+			if age := ageOf(cands[i].aux, now); age > oldestAge {
+				oldest, oldestAge = i, age
 			}
 		}
-		if c.evictOne(ks, cands[oldest].key) {
+		if c.evictOne(ks, cands[oldest].key, cands[oldest].aux) {
 			freed++
 		}
 		n--

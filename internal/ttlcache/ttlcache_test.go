@@ -17,7 +17,8 @@ import (
 
 // freeze builds a cache over a fresh map on a frozen test clock so
 // every deadline comparison is exact (the real clock would make the
-// sub-millisecond window around a deadline nondeterministic).
+// sub-millisecond window around a deadline nondeterministic). The map is
+// sized by the constructor rule, as servers size it.
 func freeze(t *testing.T, threads, capacity int, o ttlcache.Options) (*ttlcache.Cache, *atomic.Int64) {
 	t.Helper()
 	clock := new(atomic.Int64)
@@ -28,7 +29,7 @@ func freeze(t *testing.T, threads, capacity int, o ttlcache.Options) (*ttlcache.
 	// and the tests below starve the arena on purpose, repeatedly.
 	m := kvmap.New(core.Config{
 		MaxThreads: threads, Capacity: capacity, AllocSpinLimit: 1 << 12,
-	}, capacity/2)
+	}, ttlcache.Expected(0, o.MaxLive, capacity))
 	c := ttlcache.Over(m, o)
 	t.Cleanup(c.Close)
 	return c, clock

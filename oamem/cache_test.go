@@ -75,3 +75,28 @@ func TestPublicCacheSchemeRejected(t *testing.T) {
 		t.Fatalf("non-OA cache: %v, want ErrInvalidOptions", err)
 	}
 }
+
+// TestPublicCacheSizing pins the Cache constructor's table sizing: the
+// EvictLRU watermark when no WithExpected is given, WithExpected when it
+// is.
+func TestPublicCacheSizing(t *testing.T) {
+	for _, tc := range []struct {
+		opts    []oamem.Option
+		buckets int
+	}{
+		{[]oamem.Option{oamem.WithEvictionPolicy(oamem.EvictLRU(3000))}, 4096},
+		{[]oamem.Option{oamem.WithEvictionPolicy(oamem.EvictLRU(3000)), oamem.WithExpected(1 << 14)}, 32768},
+		{nil, 65536}, // half the capacity
+	} {
+		opts := append([]oamem.Option{oamem.WithCapacity(1 << 16), oamem.WithSweepInterval(-1)}, tc.opts...)
+		c, err := oamem.Cache(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Map().Buckets(); got != tc.buckets {
+			t.Errorf("%d options: %d buckets, want %d", len(tc.opts), got, tc.buckets)
+		}
+		c.Close()
+		c.Map().Close()
+	}
+}

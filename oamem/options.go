@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/oaerr"
+	"repro/internal/ttlcache"
 )
 
 // Option configures a constructor. Options are applied in order, so a
@@ -83,7 +84,12 @@ func WithAnchorsK(k int) Option { return optionFunc(func(c *config) { c.o.Anchor
 
 // WithExpected sizes hash-based structures (HashSet, KV, Cache) for the
 // given expected element count. Defaults to half the capacity (a hash
-// table at the paper's 0.75 load factor comfortably holds that live set).
+// table at the paper's 0.75 load factor comfortably holds that live set),
+// except that a Cache with an EvictLRU watermark defaults to the
+// watermark: eviction holds its live set there, and each eviction walks
+// buckets to gather candidates, so a table sized for the node budget
+// would make eviction cost grow with the budget. The default is at
+// least 1024.
 func WithExpected(n int) Option { return optionFunc(func(c *config) { c.expected = n }) }
 
 // WithServerShards sets the shard count for ShardedKV: the keyspace is
@@ -161,12 +167,8 @@ func resolve(opts []Option) (config, error) {
 		return c, badOption("negative EvictLRU maxEntries %d", c.maxEntries)
 	}
 	if c.expected == 0 {
-		if c.o.Capacity > 0 {
-			c.expected = c.o.Capacity / 2
-		}
-		if c.expected < 1024 {
-			c.expected = 1024
-		}
+		// maxEntries is Cache-only, so other structures get Capacity/2.
+		c.expected = max(ttlcache.Expected(0, c.maxEntries, c.o.Capacity), 1024)
 	}
 	return c, nil
 }

@@ -589,4 +589,35 @@ func TestServerWirePathsDoNotAllocate(t *testing.T) {
 			t.Fatalf("replies %q, want %q", resp, want)
 		}
 	})
+
+	t.Run("RESPErrorReplies", func(t *testing.T) {
+		sh := kvmap.NewSharded(core.Config{MaxThreads: 2, Capacity: 1 << 12}, 1<<10, 1)
+		defer sh.Close()
+		s := server.New(server.Config{Shards: sh, Window: 4})
+		cli := serveOverPipe(t, s, s.ServeRESP)
+		// A wrong-arity GET and an unknown command per round trip: both
+		// replies are longer than the common ones and echo the command.
+		req := []byte("*1\r\n$3\r\nGET\r\n*2\r\n$5\r\nFLUSH\r\n$1\r\nk\r\n")
+		want := []byte("-ERR wrong number of arguments for 'GET'\r\n-ERR unknown command 'FLUSH'\r\n")
+		resp := make([]byte, len(want))
+		roundTrip := func() {
+			if _, err := cli.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(cli, resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Each outbox slot grows once to hold an error reply; cycle every
+		// slot of the window before measuring.
+		for i := 0; i < 8; i++ {
+			roundTrip()
+		}
+		if avg := testing.AllocsPerRun(1000, roundTrip); avg > 0.05 {
+			t.Fatalf("RESP wrong-arity+unknown-command round trip allocates %.2f objects/op", avg)
+		}
+		if !bytes.Equal(resp, want) {
+			t.Fatalf("replies %q, want %q", resp, want)
+		}
+	})
 }
